@@ -21,12 +21,18 @@ Status codes: 200 success, 400 malformed payload, 404 unknown path,
 429 queue full (shed -- retry later), 500 a search raised.
 
 Concurrency model: :class:`ThreadingHTTPServer` gives each connection a
-thread, which then *blocks* on the engine's bounded queue handle --
-connection concurrency can exceed search concurrency, and when the gap
-exceeds the queue bound the service sheds instead of building unbounded
-latency.  A batch request coalesces internally like any other traffic:
-its entries are submitted together and identical entries dedupe onto
-one search.
+thread.  A cache hit is answered on that thread (the engine's
+:meth:`~repro.serve.engine.AdvisoryEngine.submit` returns a finished
+handle), so a cached answer never waits on the queue and is never shed.
+Only a miss blocks on the engine's bounded queue -- connection
+concurrency can exceed search concurrency, and when the gap exceeds the
+queue bound the service sheds instead of building unbounded latency.  A
+batch request coalesces internally like any other traffic: its entries
+are submitted together and identical entries dedupe onto one search.
+
+Transport: each response (status line, headers, body) leaves in one
+write on a ``TCP_NODELAY`` socket, so a keep-alive client never waits
+on its delayed-ACK timer for the second half of a response.
 """
 
 from __future__ import annotations
@@ -77,6 +83,9 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every connection: with Nagle on, a response that
+    #: still needs a second segment waits for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -92,8 +101,11 @@ class AdvisoryRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would write the headers on their own; queue the
+        # blank line and the body behind them instead, so the whole
+        # response leaves in one write
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _read_body(self) -> Any:
         length = int(self.headers.get("Content-Length", 0))

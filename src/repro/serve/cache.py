@@ -56,6 +56,13 @@ class AdviceCache:
             obs.add("serve.cache.hits")
         return value
 
+    def peek(self, key: Hashable) -> Optional[Any]:
+        """The cached advice or ``None``, counted as neither hit nor
+        miss: the engine's re-check for a miss published by another
+        request after its counted :meth:`get`."""
+        with self._lock:
+            return self._entries.get(key)
+
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting the LRU on overflow."""
         evicted = 0

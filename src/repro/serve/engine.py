@@ -39,7 +39,11 @@ codec: workers are plain ``threading.Thread`` s draining a
 ``queue.Queue`` (each blocks in its own search's process pool, so
 threads are the right concurrency primitive here), and a full queue
 sheds immediately with :class:`ServiceOverloaded` -- the HTTP layer maps
-that to 429.
+that to 429.  :meth:`submit` answers cache hits on the caller's thread
+(a finished handle, no queue), so only misses queue, and a cached answer
+can never be shed.  Every request is counted once (``serve.requests``,
+one cache hit or miss), and every miss is one search, one
+``serve.coalesced`` or one ``serve.shed``.
 """
 
 from __future__ import annotations
@@ -227,9 +231,22 @@ class AdvisoryEngine:
                scheme: str = "cost-based") -> Advice:
         """Answer one request (synchronously; thread-safe).
 
-        Cache hit -> the stored advice.  Same key already in flight ->
-        wait for the leader's result.  Otherwise compute, publish to the
-        cache and the followers atomically, and return.
+        Cache hit -> the stored advice.  Otherwise :meth:`_resolve` the
+        miss: wait for a leader already searching the same key, or
+        search, publish to the cache and the followers, and return.
+        """
+        cached, key, canonical = self._lookup(plan, stats, scheme)
+        if cached is not None:
+            return cached
+        return self._resolve(plan, canonical, scheme, key)
+
+    def _lookup(self, plan: Plan, stats: ClusterStats, scheme: str
+                ) -> Tuple[Optional[Advice], Hashable, ClusterStats]:
+        """The counted first step of every request: canonicalize, key,
+        one cache probe.  Returns ``(advice or None, key, canonical)``.
+
+        Exactly one call per request, so ``serve.requests`` and the
+        cache's hits + misses count each request once.
         """
         if scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown fault-tolerance scheme {scheme!r} "
@@ -237,17 +254,31 @@ class AdvisoryEngine:
         obs.add("serve.requests")
         canonical = self.canonical_stats(stats)
         key = self.advice_key(plan, canonical, scheme)
+        cached = self.cache.get(key) if self.cache is not None else None
+        return cached, key, canonical
+
+    def _resolve(self, plan: Plan, canonical: ClusterStats, scheme: str,
+                 key: Hashable) -> Advice:
+        """Answer a request whose :meth:`_lookup` missed.
+
+        Every miss ends up as exactly one search or one
+        ``serve.coalesced``, so ``misses == searches + coalesced``: a
+        miss that finds the key in flight waits for that leader, and a
+        miss whose key was published after its lookup (while it sat in
+        the queue) takes the published advice through an uncounted
+        re-check -- it, too, shared a leader's search.
+        """
         with self._lock:
-            if self.cache is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached
-            entry = self._inflight.get(key)
-            leader = entry is None
+            cached = (self.cache.peek(key) if self.cache is not None
+                      else None)
+            entry = self._inflight.get(key) if cached is None else None
+            leader = cached is None and entry is None
             if leader:
                 entry = self._inflight[key] = _Inflight()
         if not leader:
             obs.add("serve.coalesced")
+            if cached is not None:
+                return cached
             assert entry is not None
             entry.event.wait()
             if entry.error is not None:
@@ -267,7 +298,7 @@ class AdvisoryEngine:
             raise
         entry.advice = advice
         with self._lock:
-            # publish-then-unregister under one lock: a request arriving
+            # publish-then-unregister under one lock: a miss resolving
             # here either sees the cache entry or the in-flight entry,
             # never neither (no duplicate search can start)
             if self.cache is not None:
@@ -439,15 +470,31 @@ class AdvisoryEngine:
 
     def submit(self, plan: Plan, stats: ClusterStats,
                scheme: str = "cost-based") -> _Pending:
-        """Enqueue a request; raises :class:`ServiceOverloaded` when the
-        bounded queue is full (the backpressure signal)."""
+        """Answer a request through the bounded queue.
+
+        The cache lookup runs on the caller's thread: a hit comes back
+        as an already-finished handle and never touches the queue, so a
+        cached answer can never be shed.  Only a miss is enqueued (with
+        its key and canonical stats); raises :class:`ServiceOverloaded`
+        when the bounded queue is full (the backpressure signal).
+        Request errors, such as an unknown scheme, come back through
+        the handle.
+        """
         with self._lock:
             request_queue = self._queue
         if request_queue is None:
             raise RuntimeError("engine not started (call start())")
         pending = _Pending()
         try:
-            request_queue.put_nowait((plan, stats, scheme, pending))
+            cached, key, canonical = self._lookup(plan, stats, scheme)
+        except ValueError as error:
+            pending._finish(None, error)
+            return pending
+        if cached is not None:
+            pending._finish(cached, None)
+            return pending
+        try:
+            request_queue.put_nowait((plan, canonical, scheme, key, pending))
         except queue.Full:
             obs.add("serve.shed")
             raise ServiceOverloaded(
@@ -461,9 +508,11 @@ class AdvisoryEngine:
             item = self._queue.get()
             if item is None:
                 return
-            plan, stats, scheme, pending = item
+            plan, canonical, scheme, key, pending = item
             try:
-                pending._finish(self.advise(plan, stats, scheme), None)
+                pending._finish(
+                    self._resolve(plan, canonical, scheme, key), None
+                )
             except BaseException as error:  # delivered to the waiter
                 pending._finish(None, error)
 

@@ -2,16 +2,22 @@
 
 Covers stats bucketing (boundary determinism, canonical round-trips),
 the LRU advice cache (eviction order, counters), the engine's
-single-flight dedup and cache-on/cache-off bit-identity, adaptive shard
-sizing, and the HTTP frontend (round-trip, batch, backpressure shed,
-error codes).
+single-flight dedup and cache-on/cache-off bit-identity, the frontend's
+hit fast path (a cached answer is never shed) and its miss accounting,
+adaptive shard sizing, and the HTTP frontend (round-trip, batch,
+backpressure shed, error codes, keep-alive latency).
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import math
+import statistics
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -502,6 +508,142 @@ class TestFrontend:
             release.set()
             engine.stop()
 
+    def test_cached_answer_is_never_shed(self, paper_plan, monkeypatch):
+        """With the worker stuck and the queue full of misses, a cached
+        key still answers (a finished handle, HTTP 200) while a new miss
+        still sheds (ServiceOverloaded, HTTP 429)."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        cached = engine.advise(paper_plan, stats)  # prime before blocking
+        started = threading.Event()
+        release = threading.Event()
+        original = AdvisoryEngine._compute
+
+        def blocking_compute(self, plan, canonical, scheme):
+            started.set()
+            release.wait(10.0)
+            return original(self, plan, canonical, scheme)
+
+        monkeypatch.setattr(AdvisoryEngine, "_compute",
+                            blocking_compute)
+        engine.start(workers=1, max_queue=1)
+        with _serving(engine) as base:
+            try:
+                first = engine.submit(paper_plan, stats, scheme="all-mat")
+                assert started.wait(10.0)  # worker is busy on request 1
+                second = engine.submit(paper_plan, stats,
+                                       scheme="no-mat (restart)")  # full
+                with pytest.raises(ServiceOverloaded):
+                    engine.submit(paper_plan, stats,
+                                  scheme="no-mat (lineage)")
+                hit = engine.submit(paper_plan, stats)
+                assert hit.result(timeout=0) is cached
+                body = {"plan": plan_to_dict(paper_plan),
+                        "stats": stats_to_dict(stats)}
+                assert _post(f"{base}/advise", body) \
+                    == {"advice": cached.to_dict()}
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(f"{base}/advise",
+                          dict(body, scheme="no-mat (lineage)"))
+                assert excinfo.value.code == 429
+                excinfo.value.close()
+                release.set()
+                first.result(timeout=30.0)
+                second.result(timeout=30.0)
+            finally:
+                release.set()
+
+    def test_miss_published_while_queued_counts_as_coalesced(
+        self, paper_plan, monkeypatch
+    ):
+        """A queued miss whose key another request publishes before a
+        worker reaches it takes the published advice: one search for
+        the key, and the accounting invariants hold."""
+        engine = small_engine()
+        stats = ClusterStats(mtbf=60.0, mttr=0.0, nodes=1)
+        started = threading.Event()
+        release = threading.Event()
+        searched = []
+        original = AdvisoryEngine._compute
+
+        def compute(self, plan, canonical, scheme):
+            searched.append(scheme)
+            if scheme == "all-mat":  # only the first request blocks
+                started.set()
+                release.wait(10.0)
+            return original(self, plan, canonical, scheme)
+
+        monkeypatch.setattr(AdvisoryEngine, "_compute", compute)
+        engine.start(workers=1, max_queue=4)
+        try:
+            with obs.recording() as recorder:
+                blocker = engine.submit(paper_plan, stats, scheme="all-mat")
+                assert started.wait(10.0)  # the worker is stuck
+                queued = engine.submit(paper_plan, stats)  # waits in queue
+                published = engine.advise(paper_plan, stats)
+                release.set()
+                blocker.result(timeout=30.0)
+                assert queued.result(timeout=30.0) is published
+                counters = dict(recorder.snapshot().counters)
+        finally:
+            release.set()
+            engine.stop()
+        assert searched.count("cost-based") == 1
+        cache = engine.cache.stats()
+        assert cache["hits"] + cache["misses"] == counters["serve.requests"]
+        assert counters["serve.requests"] == 3
+        assert cache["misses"] == (counters["serve.searches"]
+                                   + counters["serve.coalesced"])
+        assert counters["serve.coalesced"] == 1
+
+    def test_concurrent_submits_search_each_key_once(
+        self, paper_plan, chain_plan
+    ):
+        """More threads than cores, frequent thread switches: every key
+        is searched exactly once and the counters stay exact."""
+        engine = small_engine()
+        requests = [
+            (plan, ClusterStats(mtbf=mtbf, mttr=0.0, nodes=1), scheme)
+            for plan in (paper_plan, chain_plan)
+            for mtbf in (60.0, 600.0, 6000.0)
+            for scheme in SCHEME_NAMES
+        ]
+        errors = []
+
+        def client(offset):
+            for index in range(120):
+                plan, stats, scheme = requests[
+                    (index * 7 + offset) % len(requests)
+                ]
+                try:
+                    engine.submit(plan, stats, scheme).result(timeout=30.0)
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        engine.start(workers=3, max_queue=1024)
+        try:
+            with obs.recording() as recorder:
+                threads = [threading.Thread(target=client, args=(offset,))
+                           for offset in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                counters = dict(recorder.snapshot().counters)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            engine.stop()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        cache = engine.cache.stats()
+        assert counters["serve.requests"] == 8 * 120
+        assert cache["hits"] + cache["misses"] == 8 * 120
+        assert counters["serve.searches"] == len(requests)
+        assert cache["misses"] == (counters["serve.searches"]
+                                   + counters.get("serve.coalesced", 0))
+
     def test_submit_requires_start(self, paper_plan):
         engine = small_engine()
         with pytest.raises(RuntimeError, match="not started"):
@@ -616,20 +758,28 @@ def _post(url: str, payload: dict) -> dict:
         return json.loads(response.read())
 
 
-@pytest.fixture
-def http_service():
-    engine = small_engine()
-    engine.start(workers=2, max_queue=16)
+@contextlib.contextmanager
+def _serving(engine: AdvisoryEngine):
+    """Serve a started ``engine`` over HTTP; yields the base URL and
+    stops the server, then the engine, on exit."""
     server = create_server(engine)
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://{host}:{port}", engine
+        yield f"http://{host}:{port}"
     finally:
         server.shutdown()
         server.server_close()
         engine.stop()
+
+
+@pytest.fixture
+def http_service():
+    engine = small_engine()
+    engine.start(workers=2, max_queue=16)
+    with _serving(engine) as base:
+        yield base, engine
 
 
 class TestHTTP:
@@ -644,6 +794,33 @@ class TestHTTP:
         })
         reference = direct_advice(paper_plan, stats, engine)
         assert payload["advice"] == reference.to_dict()
+
+    def test_keep_alive_hits_do_not_stall(self, http_service, paper_plan):
+        """Sequential hits on one keep-alive connection answer well under
+        the client's 40-ms delayed-ACK timer (a response split into two
+        segments with Nagle on waits for that timer)."""
+        base, _ = http_service
+        host, port = base[len("http://"):].split(":")
+        body = json.dumps({
+            "plan": plan_to_dict(paper_plan),
+            "stats": stats_to_dict(ClusterStats(mtbf=60.0, mttr=0.0,
+                                                nodes=1)),
+        }).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=30.0)
+        try:
+            timings = []
+            for _ in range(21):  # the first request primes the key
+                started = time.perf_counter()
+                connection.request("POST", "/advise", body, headers)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                timings.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        assert statistics.median(timings[1:]) < 0.020
 
     def test_batch_coalesces_and_orders(self, http_service, paper_plan):
         base, engine = http_service
@@ -692,6 +869,8 @@ class TestHTTP:
         good = {"plan": plan_to_dict(paper_plan),
                 "stats": stats_to_dict(stats)}
         payload = _post(f"{base}/advise/batch",
-                        {"requests": [good, {"nonsense": True}]})
+                        {"requests": [good, {"nonsense": True},
+                                      dict(good, scheme="nope")]})
         assert "advice" in payload["results"][0]
         assert "error" in payload["results"][1]
+        assert "unknown fault-tolerance" in payload["results"][2]["error"]
