@@ -10,11 +10,12 @@ Besides the pytest-benchmark tests, the module doubles as a script::
 
     PYTHONPATH=src python benchmarks/bench_optimizer.py
 
-which times the fast and naive engines over a fixed slice of the TPC-H
-Q5 join-order sweep, runs the synthetic large-DAG scaling sweep of the
-sharded search (serial fast baseline vs ``sharded_search`` at
-``--parallelism`` workers, bit-identity checked on every point), and
-writes ``BENCH_optimizer.json`` at the repository root.  ``--quick``
+which times the search kernel (``engine="fast"``) against the naive
+oracle over a fixed slice of the TPC-H Q5 join-order sweep, runs the
+synthetic large-DAG scaling sweep of the same kernel at
+``parallelism=1`` and at ``--parallelism`` workers (bit-identity checked
+on every point), and writes ``BENCH_optimizer.json`` at the repository
+root with the machine's ``cpu_count`` and the git sha.  ``--quick``
 shrinks the scaling ladder for CI.  See ``docs/perf.md`` for how to
 read it.
 """
@@ -22,6 +23,7 @@ read it.
 import argparse
 import json
 import os
+import subprocess
 import time
 from pathlib import Path
 
@@ -29,14 +31,12 @@ import pytest
 
 from repro.core.cost_model import ClusterStats
 from repro.core.enumeration import (
-    _find_best_fast,
     _find_best_naive,
     estimate_plan_cost,
     find_best_ft_plan,
 )
 from repro.core.failure import HOUR
 from repro.core.pruning import PruningConfig
-from repro.core.shard import sharded_search
 from repro.core.strategies import NoMatLineage
 from repro.engine.cluster import Cluster
 from repro.engine.executor import SimulatedEngine
@@ -242,18 +242,28 @@ def _sweep_plans(join_orders: int):
     return plans
 
 
-def _time_engine(engine, plans, stats, pruning):
-    started = time.perf_counter()
-    result = find_best_ft_plan(
+def _best_of(repeats, thunk):
+    """(best seconds, last result) over ``repeats`` runs."""
+    best_s, result = float("inf"), None
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        result = thunk()
+        best_s = min(best_s, time.perf_counter() - started)
+    return best_s, result
+
+
+def _time_engine(engine, plans, stats, pruning, repeats=3):
+    """(result, best seconds of ``repeats`` runs) of one engine."""
+    elapsed, result = _best_of(repeats, lambda: find_best_ft_plan(
         plans, stats, pruning=pruning, engine=engine,
         preflight_lint=False,
-    )
-    elapsed = time.perf_counter() - started
+    ))
     return result, elapsed
 
 
 def run_engine_comparison(join_orders: int = 60):
-    """Time fast vs naive over the identical sweep; verify equal results."""
+    """Time the kernel vs the naive oracle over the identical sweep (best
+    of three runs each); verify equal results."""
     from repro.core.pruning import PruningConfig
 
     plans = _sweep_plans(join_orders)
@@ -282,7 +292,7 @@ def run_engine_comparison(join_orders: int = 60):
                     "configs_per_sec": round(configs / naive_s, 1),
                 },
             },
-            "speedup": round(naive_s / fast_s, 2),
+            "speedup_vs_naive": round(naive_s / fast_s, 2),
         })
     return {
         "benchmark": "q5_join_order_sweep",
@@ -306,14 +316,17 @@ def _result_key(result, plan_index: int = 0):
     return (result.cost, plan_index, mask)
 
 
-def _best_of(repeats, thunk):
-    """(best seconds, last result) over ``repeats`` runs."""
-    best_s, result = float("inf"), None
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        result = thunk()
-        best_s = min(best_s, time.perf_counter() - started)
-    return best_s, result
+def _git_sha():
+    """The checkout's commit (``-dirty`` with uncommitted changes), or
+    ``None`` outside a git work tree."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def run_scaling_sweep(
@@ -323,36 +336,45 @@ def run_scaling_sweep(
     repeats: int = 2,
     naive_max_size: int = 20,
 ):
-    """Serial fast engine vs the sharded search on synthetic DAGs.
+    """The search kernel at ``parallelism=1`` vs ``parallelism=N``.
 
     Each point scans the same capped Gray subspace (``config_limit``
     configurations) of one seeded synthetic plan under a rare-failure
     regime (MTBF = 20x the plan's total runtime -- the regime where
-    Rule 3's shared bound pays off).  The naive oracle additionally
-    certifies the smallest (tractable) points.  Every engine must
-    return the identical ``(cost, plan, mask)`` key.
+    Rule 3's shared bound pays off).  Both runs are the default engine,
+    so ``parallel_speedup`` is pure parallel scaling; it is ``None``
+    when the machine has fewer CPUs than workers, where the ratio would
+    measure time slicing, not scaling.  The naive oracle additionally
+    certifies the smallest (tractable) points.  Every run must return
+    the identical ``(cost, plan, mask)`` key.
     """
     pruning = PruningConfig.all()
     shards = 4 * parallelism
+    cpu_count = os.cpu_count() or 1
     points = []
     for spec in scaling_specs(tuple(sizes)):
         plan = synthetic_plan(spec)
         base = sum(op.runtime_cost for op in plan.operators.values())
         stats = ClusterStats(mtbf=base * 20.0, mttr=base * 0.1,
                              const_pipe=0.9)
-        serial_s, serial = _best_of(repeats, lambda: _find_best_fast(
-            [plan], stats, pruning, False, config_limit=config_limit))
-        sharded_s, (sharded_key, sharded_stats) = _best_of(
-            repeats, lambda: sharded_search(
-                [plan], stats, pruning, parallelism=parallelism,
-                shards=shards, config_limit=config_limit))
-        equal = sharded_key == _result_key(serial)
+
+        def search(workers, shard_count=None):
+            return find_best_ft_plan(
+                [plan], stats, pruning=pruning, preflight_lint=False,
+                parallelism=workers, shards=shard_count,
+                config_limit=config_limit,
+            )
+
+        serial_s, serial = _best_of(repeats, lambda: search(1))
+        parallel_s, parallel = _best_of(
+            repeats, lambda: search(parallelism, shards))
+        equal = _result_key(parallel) == _result_key(serial)
         naive_checked = spec.n_joins <= naive_max_size
         if naive_checked:
             naive = _find_best_naive([plan], stats, pruning, False,
                                      config_limit=config_limit)
-            equal = equal and sharded_key == _result_key(naive)
-        enumerated = sharded_stats.configs_enumerated
+            equal = equal and _result_key(serial) == _result_key(naive)
+        enumerated = serial.pruning.configs_enumerated
         points.append({
             "n_free_operators": len(plan.free_operators),
             "seed": spec.seed,
@@ -360,44 +382,48 @@ def run_scaling_sweep(
             "configs_enumerated": enumerated,
             "equal_results": bool(equal),
             "naive_checked": naive_checked,
-            "serial_fast": {
+            "serial": {
                 "seconds": round(serial_s, 6),
                 "configs_per_sec": round(enumerated / serial_s, 1),
+                "scored": serial.pruning.paths_estimated,
+                "bound_skips": serial.pruning.rule3_plan_cutoffs,
             },
-            "sharded": {
-                "seconds": round(sharded_s, 6),
-                "configs_per_sec": round(enumerated / sharded_s, 1),
+            "parallel": {
+                "seconds": round(parallel_s, 6),
+                "configs_per_sec": round(enumerated / parallel_s, 1),
                 "parallelism": parallelism,
                 "shards": shards,
-                "scored": sharded_stats.paths_estimated,
-                "bound_skips": sharded_stats.rule3_plan_cutoffs,
-                "bound_efficiency": round(
-                    sharded_stats.rule3_plan_cutoffs / enumerated, 4),
+                "scored": parallel.pruning.paths_estimated,
+                "bound_skips": parallel.pruning.rule3_plan_cutoffs,
             },
-            "speedup": round(serial_s / sharded_s, 2),
-            "shard_efficiency": round(
-                serial_s / (sharded_s * parallelism), 3),
+            "parallel_speedup": (
+                round(serial_s / parallel_s, 2)
+                if cpu_count >= parallelism else None
+            ),
         })
     return {
         "benchmark": "synthetic_scaling_sweep",
         "regime": "rare-failure (mtbf = 20x plan runtime, "
                   "mttr = 0.1x, const_pipe = 0.9)",
         "pruning": "all",
-        "cpu_count": os.cpu_count(),
+        "cpu_count": cpu_count,
+        "parallelism": parallelism,
         "points": points,
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the fast vs naive search engines on a fixed "
-                    "slice of the TPC-H Q5 join-order sweep, plus the "
-                    "sharded search on the synthetic scaling ladder."
+        description="Time the search kernel against the naive oracle "
+                    "on a fixed slice of the TPC-H Q5 join-order sweep, "
+                    "plus the kernel's parallel scaling on the "
+                    "synthetic ladder."
     )
     parser.add_argument("--join-orders", type=int, default=60,
                         help="sweep slice size (default 60)")
     parser.add_argument("--parallelism", type=int, default=4,
-                        help="sharded-search worker count (default 4)")
+                        help="worker count of the scaling sweep's "
+                             "parallel runs (default 4)")
     parser.add_argument("--quick", action="store_true",
                         help="CI mode: smaller ladder (n=20,40), "
                              "2048-config cap, single timing run")
@@ -409,7 +435,8 @@ def main(argv=None) -> int:
              "(default <repo>/BENCH_optimizer.json)",
     )
     args = parser.parse_args(argv)
-    report = run_engine_comparison(join_orders=args.join_orders)
+    report = {"git_sha": _git_sha(), "cpu_count": os.cpu_count()}
+    report.update(run_engine_comparison(join_orders=args.join_orders))
     if args.quick:
         report["scaling"] = run_scaling_sweep(
             sizes=(20, 40), parallelism=args.parallelism,
@@ -425,18 +452,19 @@ def main(argv=None) -> int:
               f"({engines['fast']['configs_per_sec']:.0f} cfg/s)  "
               f"naive {engines['naive']['seconds']:.3f}s "
               f"({engines['naive']['configs_per_sec']:.0f} cfg/s)  "
-              f"speedup {sweep['speedup']:.1f}x  "
+              f"vs naive {sweep['speedup_vs_naive']:.1f}x  "
               f"equal={sweep['equal_results']}")
     for point in report["scaling"]["points"]:
-        sharded = point["sharded"]
+        parallel = point["parallel"]
+        speedup = point["parallel_speedup"]
         print(f"n={point['n_free_operators']:<3d} "
-              f"serial {point['serial_fast']['seconds']:.3f}s  "
-              f"sharded {sharded['seconds']:.3f}s "
-              f"(p={sharded['parallelism']}, "
-              f"{sharded['configs_per_sec']:.0f} cfg/s, "
-              f"bound_eff={sharded['bound_efficiency']:.2f})  "
-              f"speedup {point['speedup']:.2f}x  "
-              f"equal={point['equal_results']}")
+              f"p=1 {point['serial']['seconds']:.3f}s "
+              f"({point['serial']['configs_per_sec']:.0f} cfg/s)  "
+              f"p={parallel['parallelism']} {parallel['seconds']:.3f}s  "
+              "parallel_speedup "
+              + (f"{speedup:.2f}x" if speedup is not None
+                 else "n/a (fewer CPUs than workers)")
+              + f"  equal={point['equal_results']}")
     print(f"wrote {args.output}")
     return 0
 

@@ -319,13 +319,19 @@ class Plan:
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`PlanError` on failure."""
+        self.validated_order()
+
+    def validated_order(self) -> List[int]:
+        """:meth:`validate`, returning the :meth:`topological_order` the
+        check computed -- for callers that need both, in one walk."""
         if not self.operators:
             raise PlanError("plan has no operators")
-        self.topological_order()  # raises on cycles
+        order = self.topological_order()  # raises on cycles
         for op_id in self.operators:
             for consumer_id in self._consumers[op_id]:
                 if op_id not in self._producers[consumer_id]:
                     raise PlanError("inconsistent adjacency lists")
+        return order
 
     def pretty(self) -> str:
         """Multi-line human-readable rendering in topological order."""

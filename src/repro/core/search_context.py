@@ -1,45 +1,48 @@
-"""Incremental search context for fast materialization-configuration sweeps.
+"""The search kernel: incremental state for materialization-config scans.
 
 The naive search (``find_best_ft_plan``'s ``engine="naive"`` path)
 rebuilds a full :class:`~repro.core.plan.Plan` via ``with_mat_config``
 for every one of the ``2^n`` configurations -- re-running the cycle check
-per edge -- and then re-collapses the whole DAG from scratch.  This
-module holds the per-plan state that makes the sweep cheap instead:
+per edge -- and then re-collapses the whole DAG from scratch.  A
+:class:`SearchContext` holds the per-plan state that makes the scan cheap
+instead; every fast search runs on it (:mod:`repro.core.shard` scans one
+context per plan and worker):
 
 * **validate once** -- plan validation, topological order,
-  producer/consumer adjacency and the free-operator index are computed a
-  single time and reused for every configuration;
+  producer/consumer adjacency, the free-operator index and each
+  operator's free-ancestor bitmask are computed a single time;
 * **bitmask configs** -- a configuration is an integer mask over
-  ``free_ids``; no plan copies are made during the sweep;
-* **incremental collapse** -- stepping between configurations in
-  Gray-code order flips exactly one operator, and only the collapsed
-  groups whose membership can change are recomputed (plus a cache keyed
-  by ``(anchor, members, m(anchor))`` so revisited group states are
-  free);
+  ``free_ids``; no plan copies are made during the scan;
+* **incremental collapse** -- a single-bit flip rebuilds only the groups
+  whose membership can change.  Group states are cached per anchor under
+  the flags of the anchor's free strict ancestors (the only flags its
+  member walk can read), and membership, the collapsed topological order
+  and the inner-anchor set are maintained by deltas;
 * **exact scoring by DP** -- the dominant-path cost is a longest-path
   dynamic program over the collapsed DAG instead of enumerating every
-  source-to-sink path.
+  source-to-sink path;
+* **windowed scoring** -- a windowed Gray scan only flips the ``w``
+  operators nearest the sink, so :meth:`prepare_window` freezes the DP
+  over everything outside their descendant cone and :meth:`window_bound`
+  / :meth:`window_cost` score a configuration by walking the ~``w``
+  volatile anchors, without repositioning the context at all.
 
 Exactness
 ---------
 The context is *bit-identical* to the naive pipeline, not merely close:
 
 * Group construction replicates ``collapse_plan`` operation for
-  operation (same member BFS, same longest-path DP with the same
-  ``max``/tie-break, same ``CONST_pipe`` application), so every
-  ``t(c)`` equals the naive value bit-for-bit.
+  operation (same members, same longest-path DP over the members in
+  topological order with the same ``max``/tie-break, same ``CONST_pipe``
+  application), so every ``t(c)`` equals the naive value bit-for-bit.
 * A path cost in the naive engine is a left-fold ``sum`` of ``T(c)``.
   The DP computes ``pre[c] = max(pre[producer]) + T(c)`` with
   ``pre[source] = T(source)``, which performs the additions in the same
   order as the left fold for whichever path realizes the maximum; since
   float addition of non-negative terms is monotone, the DP maximum over
   sinks equals the maximum over all enumerated path sums bit-for-bit.
-* ``T(c)`` values come from a memoized *scalar*
-  :func:`~repro.core.cost_model.operator_runtime` cache rather than the
-  NumPy batch kernel: ``np.exp``/``np.log``/``np.expm1`` differ from
-  ``math.*`` in the last ulp for a few percent of inputs, which would
-  break oracle equality in engineered ties (see
-  :func:`~repro.core.cost_model.operator_runtime_batch`).
+* ``T(c)`` values come from a memoized cache of the *scalar*
+  :func:`~repro.core.cost_model.operator_runtime`, keyed by ``t(c)``.
 
 Incremental-collapse invariants (single-bit flip of operator ``o``):
 
@@ -53,10 +56,24 @@ Incremental-collapse invariants (single-bit flip of operator ``o``):
   in-edges are provably unchanged, because group membership depends only
   on the flags of the group's own ancestry and every producer outside a
   group is materialized by construction.
+* An anchor's position in the plan's topological order never changes,
+  and a collapsed edge ``producer -> anchor`` implies the producer is a
+  plan-level ancestor of the anchor, so the plan order restricted to the
+  current anchors is a valid collapsed order: anchors are inserted and
+  removed by bisection, never re-sorted.
+
+Why the windowed split is exact: an anchor is *volatile* iff a window bit
+appears in ``anc_mask[anchor] | ownbit(anchor)``.  Ancestor masks are
+transitively closed, so every producer a static anchor can see --
+members, group in-edges, DP predecessors -- is itself static, and every
+reader of a volatile prefix is itself volatile.  The volatile pass
+therefore performs exactly the float operations of the full DP that
+differ between configurations, in the same order, on the same values.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from . import cost_model
@@ -67,8 +84,24 @@ from .plan import Plan
 #: mirrors ``enumeration.MatConfig`` (kept local to avoid an import cycle)
 MatConfig = Tuple[Tuple[int, bool], ...]
 
-#: cached group state: the collapsed operator plus its in-edge anchors
-_GroupState = Tuple[CollapsedOperator, Tuple[int, ...]]
+#: cached group state: the collapsed operator, its in-edge anchors, t(c)
+_GroupState = Tuple[CollapsedOperator, Tuple[int, ...], float]
+
+#: windowed-scan group state: ``(t(c), in-edge anchors)``
+_WindowState = Tuple[float, Tuple[int, ...]]
+
+#: per-anchor window caches: ``(support mask, {state & support: state})``
+_SupportTables = List[Tuple[int, Dict[int, _WindowState]]]
+
+
+def _remember(tables: _SupportTables, support: int, state: int,
+              built: _WindowState) -> None:
+    """Cache ``built`` under ``state & support`` in the support's table."""
+    for known, table in tables:
+        if known == support:
+            table[state & support] = built
+            return
+    tables.append((support, {state & support: built}))
 
 
 class SearchContext:
@@ -92,66 +125,110 @@ class SearchContext:
         stats: ClusterStats,
         exact_waste: bool = False,
     ) -> None:
-        plan.validate()
+        topo = plan.validated_order()
         self.plan = plan
         self.stats = stats
         self.exact_waste = exact_waste
         self._const_pipe = stats.const_pipe
 
-        self._topo: List[int] = plan.topological_order()
-        self._producers: Dict[int, Tuple[int, ...]] = {
-            op_id: tuple(plan.producers(op_id)) for op_id in self._topo
-        }
-        self._consumers: Dict[int, Tuple[int, ...]] = {
-            op_id: tuple(plan.consumers(op_id)) for op_id in self._topo
-        }
-        self._runtime: Dict[int, float] = {
-            op_id: plan[op_id].runtime_cost for op_id in self._topo
-        }
-        self._mat: Dict[int, float] = {
-            op_id: plan[op_id].mat_cost for op_id in self._topo
-        }
-        self._sinks = frozenset(plan.sinks)
-        self.free_ids: Tuple[int, ...] = tuple(plan.free_operators)
-        self._flags: Dict[int, bool] = {
-            op_id: plan[op_id].materialize for op_id in self._topo
-        }
-        self.mask: int = sum(
-            1 << bit
-            for bit, op_id in enumerate(self.free_ids)
-            if self._flags[op_id]
-        )
+        self._topo: List[int] = topo
+        self._topo_pos: Dict[int, int] = {}
+        self._producers: Dict[int, Tuple[int, ...]] = {}
+        self._consumers: Dict[int, Tuple[int, ...]] = {}
+        self._runtime: Dict[int, float] = {}
+        self._flags: Dict[int, bool] = {}
+        #: free strict ancestors of each operator, as a free-id bitmask --
+        #: exactly the flags the member walk from that operator can read
+        self._anc_mask: Dict[int, int] = {}
+        self._freebit: Dict[int, int] = {}
+        free_ids: List[int] = []
+        sinks: List[int] = []
+        #: the current configuration; kept in step with ``_flags`` by _flip
+        self.mask = 0
+        for position, op_id in enumerate(topo):
+            operator = plan.operators[op_id]
+            producers = tuple(plan.producers(op_id))
+            consumers = tuple(plan.consumers(op_id))
+            self._topo_pos[op_id] = position
+            self._producers[op_id] = producers
+            self._consumers[op_id] = consumers
+            self._runtime[op_id] = operator.runtime_cost
+            self._flags[op_id] = operator.materialize
+            if not consumers:
+                sinks.append(op_id)
+            ancestors = 0
+            for producer in producers:
+                ancestors |= self._anc_mask[producer]
+                bit = self._freebit.get(producer)
+                if bit is not None:
+                    ancestors |= 1 << bit
+            self._anc_mask[op_id] = ancestors
+            if operator.free:
+                if operator.materialize:
+                    self.mask |= 1 << len(free_ids)
+                self._freebit[op_id] = len(free_ids)
+                free_ids.append(op_id)
+        self._sinks = frozenset(sinks)
+        self.free_ids: Tuple[int, ...] = tuple(free_ids)
 
         # incremental collapse state
         self._groups: Dict[int, CollapsedOperator] = {}
         self._group_in: Dict[int, Tuple[int, ...]] = {}
+        #: current ``t(c)`` per anchor (plain dict: the scoring loops
+        #: would otherwise pay a property call per anchor per config)
+        self._total: Dict[int, float] = {}
         #: original op -> anchors whose group currently contains it
         self._membership: Dict[int, Set[int]] = {
-            op_id: set() for op_id in self._topo
+            op_id: set() for op_id in topo
         }
-        self._group_cache: Dict[
-            Tuple[int, Tuple[int, ...], bool], _GroupState
-        ] = {}
-
-        # collapsed-DAG traversal cache (invalidated on every flip)
-        self._order_dirty = True
+        #: anchor -> {masked ancestor flags -> member tuple}
+        self._members_cache: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+        #: anchor -> {masked ancestor flags | own flag -> group state}
+        self._state_cache: Dict[int, Dict[int, _GroupState]] = {}
+        #: current anchors in plan-topological order, with their topo
+        #: positions alongside as bisection keys
         self._collapsed_order: List[int] = []
+        self._order_keys: List[int] = []
+        #: anchors some group lists as an input (i.e. not collapsed sinks),
+        #: backed by per-producer reference counts
         self._collapsed_inner: Set[int] = set()
+        self._inner_count: Dict[int, int] = {}
 
         #: memoized scalar T(c) per distinct t(c) (bit-identical to naive)
         self._runtime_cache: Dict[float, float] = {}
 
+        # windowed-scan state (see prepare_window): None means no static
+        # tables are live and the window_* scorers may not be used
+        self._window_mask: Optional[int] = None
+        self._prefix_ff: Dict[int, float] = {}
+        self._prefix_t: Dict[int, float] = {}
+        self._static_best_ff: Optional[float] = None
+        self._static_best_t: Optional[float] = None
+        # candidate volatile anchors in topo order as (anchor, presence
+        # bit | None, is a collapsed sink, support tables), plus the
+        # per-config scratch list the two window scorers share
+        self._window_candidates: List[
+            Tuple[int, Optional[int], bool, _SupportTables]
+        ] = []
+        self._window_state_cache: Dict[int, _SupportTables] = {}
+        self._scratch_entries: List[
+            Tuple[int, float, Tuple[int, ...], bool]
+        ] = []
+
         # -- observability tallies (plain ints; folded into repro.obs by
-        # the search engines at scan end, never read per configuration)
+        # the search at scan end, never read per configuration)
         self.full_collapses = 0       #: from-scratch group builds
         self.incremental_flips = 0    #: single-bit Gray-code repairs
         self.group_cache_hits = 0     #: group states recalled from cache
         self.group_cache_misses = 0   #: group states computed fresh
+        self.members_cache_hits = 0   #: member sets recalled from cache
+        self.members_cache_misses = 0  #: member walks run
         self.runtime_lookups = 0      #: T(c) cache probes while scoring
         self.runtime_cache_misses = 0  #: probes that ran the cost model
+        self.window_preps = 0         #: static-region tables built
 
         self.full_collapses += 1
-        for op_id in self._topo:
+        for op_id in topo:
             if self._flags[op_id] or op_id in self._sinks:
                 self._rebuild_group(op_id)
 
@@ -162,8 +239,8 @@ class SearchContext:
         """Slim pickle: the *inputs* plus the current position, nothing
         derived.
 
-        A context accumulates large memo caches (``_group_cache``,
-        ``_runtime_cache``, membership sets) that every worker can
+        A context accumulates large memo caches (group states, member
+        sets, ``T(c)`` values, window tables) that every worker can
         rebuild lazily from the plan alone; shipping them would dominate
         the payload by an order of magnitude and buy nothing -- the
         caches are only warm for configurations the *sender* visited.
@@ -173,10 +250,6 @@ class SearchContext:
         Observability tallies restart at zero: they count work actually
         performed per process, which is what the cross-process merge
         expects.
-
-        Subclasses (:class:`~repro.core.shard.ShardKernel`) inherit this
-        unchanged -- ``__setstate__`` dispatches to ``type(self)``'s
-        constructor, so a kernel round-trips as a kernel.
         """
         return {
             "plan": self.plan,
@@ -212,7 +285,6 @@ class SearchContext:
             bit = (diff & -diff).bit_length() - 1
             self._flip(self.free_ids[bit])
             diff &= diff - 1
-        self.mask = mask
 
     def iter_masks(self, order: str = "gray") -> Iterator[int]:
         """Step through all ``2^n`` configurations, updating state in place.
@@ -234,7 +306,6 @@ class SearchContext:
                 bit = (gray ^ next_gray).bit_length() - 1
                 self._flip(self.free_ids[bit])
                 gray = next_gray
-                self.mask = gray
                 yield gray
         elif order == "sequential":
             for mask in range(total):
@@ -244,7 +315,7 @@ class SearchContext:
             raise ValueError(f"unknown iteration order {order!r}")
 
     # ------------------------------------------------------------------
-    # scoring
+    # scoring at the current position
     # ------------------------------------------------------------------
     def failure_free_dominant(self) -> float:
         """``R_max`` -- the most expensive path's failure-free runtime."""
@@ -258,76 +329,26 @@ class SearchContext:
         """
         return self._dominant_total(failure_free=False)
 
-    def dominant_scores(self) -> Tuple[float, float]:
-        """``(R_max, T_max)`` fused into a single collapsed-DAG pass.
-
-        The Rule 3 branch of the fast scan needs the failure-free bound
-        ``R_max`` for the cheap check and -- whenever the check does not
-        prune -- the full dominant cost ``T_max``; computing them
-        separately walks the collapsed DAG twice.  This fused pass runs
-        both dynamic programs side by side.  The two accumulations are
-        independent (each anchor's ``R`` prefix only reads ``R``
-        prefixes, ``T`` only ``T``), performing exactly the additions
-        and comparisons of :meth:`failure_free_dominant` and
-        :meth:`dominant_cost` in the same order, so each component is
-        bit-identical to its standalone counterpart.
-        """
-        self._refresh_order()
-        groups = self._groups
-        group_in = self._group_in
-        cache = self._runtime_cache
-        inner = self._collapsed_inner
-        ff_prefix: Dict[int, float] = {}
-        prefix: Dict[int, float] = {}
-        best_ff: Optional[float] = None
-        best: Optional[float] = None
-        for anchor in self._collapsed_order:
-            total = groups[anchor].total_cost
-            cached = cache.get(total)
-            if cached is None:
-                cached = cost_model.operator_runtime(
-                    total, self.stats, exact_waste=self.exact_waste
-                )
-                cache[total] = cached
-                self.runtime_cache_misses += 1
-            ff_value = total
-            value = cached
-            incoming = group_in[anchor]
-            if incoming:
-                ff_value = max(ff_prefix[p] for p in incoming) + ff_value
-                value = max(prefix[p] for p in incoming) + value
-            ff_prefix[anchor] = ff_value
-            prefix[anchor] = value
-            if anchor not in inner:  # a collapsed sink ends a path
-                if best_ff is None or ff_value > best_ff:
-                    best_ff = ff_value
-                if best is None or value > best:
-                    best = value
-        self.runtime_lookups += len(self._collapsed_order)
-        assert best_ff is not None and best is not None
-        return best_ff, best
+    def _runtime_of(self, total: float) -> float:
+        """Memoized scalar ``T(c)`` for ``t(c) = total``."""
+        value = self._runtime_cache.get(total)
+        if value is None:
+            value = cost_model.operator_runtime(
+                total, self.stats, exact_waste=self.exact_waste
+            )
+            self._runtime_cache[total] = value
+            self.runtime_cache_misses += 1
+        return value
 
     def _dominant_total(self, failure_free: bool) -> float:
-        self._refresh_order()
-        groups = self._groups
+        totals = self._total
         group_in = self._group_in
-        cache = self._runtime_cache
         inner = self._collapsed_inner
         prefix: Dict[int, float] = {}
         best: Optional[float] = None
         for anchor in self._collapsed_order:
-            total = groups[anchor].total_cost
-            if failure_free:
-                value = total
-            else:
-                cached = cache.get(total)
-                if cached is None:
-                    cached = cost_model.operator_runtime(
-                        total, self.stats, exact_waste=self.exact_waste
-                    )
-                    cache[total] = cached
-                    self.runtime_cache_misses += 1
-                value = cached
+            total = totals[anchor]
+            value = total if failure_free else self._runtime_of(total)
             incoming = group_in[anchor]
             if incoming:
                 value = max(prefix[p] for p in incoming) + value
@@ -353,8 +374,11 @@ class SearchContext:
             "search.collapse.incremental": self.incremental_flips,
             "cache.group.hit": self.group_cache_hits,
             "cache.group.miss": self.group_cache_misses,
+            "cache.members.hit": self.members_cache_hits,
+            "cache.members.miss": self.members_cache_misses,
             "cache.runtime.hit": self.runtime_cache_hits,
             "cache.runtime.miss": self.runtime_cache_misses,
+            "cache.window.preps": self.window_preps,
         }
 
     # ------------------------------------------------------------------
@@ -382,9 +406,20 @@ class SearchContext:
     # ------------------------------------------------------------------
     def _flip(self, op_id: int) -> None:
         """Toggle ``m(op_id)`` and repair exactly the affected groups."""
+        bit = self._freebit[op_id]
+        window = self._window_mask
+        if window is not None and not (window >> bit) & 1:
+            # a flip outside the window changes the "static" region: the
+            # precomputed tables are stale, drop them (prepare_window
+            # rebuilds on demand).  Window-bit flips leave them valid --
+            # window scans never flip at all (the window scorers are
+            # functional in the mask), only repositioning lands here.
+            self._window_mask = None
+        # the mask must be current before any rebuild: the group and
+        # member caches are keyed by it
+        self.mask ^= 1 << bit
         self.incremental_flips += 1
-        becoming_materialized = not self._flags[op_id]
-        if becoming_materialized:
+        if not self._flags[op_id]:
             # groups that contained o shrink; o anchors a new group
             affected = [
                 anchor for anchor in self._membership[op_id]
@@ -406,89 +441,154 @@ class SearchContext:
                 self._drop_group(op_id)
         for anchor in affected:
             self._rebuild_group(anchor)
-        self._order_dirty = True
-
-    def _rebuild_group(self, anchor: int) -> None:
-        old = self._groups.get(anchor)
-        if old is not None:
-            for member in old.members:
-                self._membership[member].discard(anchor)
-        members = self._members_of(anchor)
-        key = (anchor, members, self._flags[anchor])
-        cached = self._group_cache.get(key)
-        if cached is not None:
-            self.group_cache_hits += 1
-        else:
-            self.group_cache_misses += 1
-            dominant_path, path_runtime = self._dominant_path(members, anchor)
-            pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
-            mat_cost = self._mat[anchor] if self._flags[anchor] else 0.0
-            group = CollapsedOperator(
-                anchor_id=anchor,
-                members=frozenset(members),
-                runtime_cost=path_runtime * pipe,
-                mat_cost=mat_cost,
-                dominant_path=tuple(dominant_path),
-            )
-            member_set = frozenset(members)
-            group_in = tuple(sorted(
-                {
-                    producer
-                    for member in members
-                    for producer in self._producers[member]
-                } - member_set
-            ))
-            cached = (group, group_in)
-            self._group_cache[key] = cached
-        group, group_in = cached
-        self._groups[anchor] = group
-        self._group_in[anchor] = group_in
-        for member in group.members:
-            self._membership[member].add(anchor)
-        self._order_dirty = True
-
-    def _drop_group(self, anchor: int) -> None:
-        old = self._groups.pop(anchor)
-        for member in old.members:
-            self._membership[member].discard(anchor)
-        del self._group_in[anchor]
-        self._order_dirty = True
 
     def _members_of(self, anchor: int) -> Tuple[int, ...]:
-        """``coll(anchor)`` under the current flags (sorted ids)."""
-        members = [anchor]
+        """``coll(anchor)`` under the current flags (sorted ids), cached
+        under the flags of the anchor's free strict ancestors."""
+        per_anchor = self._members_cache.get(anchor)
+        if per_anchor is None:
+            per_anchor = self._members_cache[anchor] = {}
+        key = self.mask & self._anc_mask[anchor]
+        members = per_anchor.get(key)
+        if members is not None:
+            self.members_cache_hits += 1
+            return members
+        self.members_cache_misses += 1
+        flags = self._flags
+        producers = self._producers
+        collected = [anchor]
         visited = {anchor}
-        stack = [
-            p for p in self._producers[anchor] if not self._flags[p]
-        ]
+        stack = [p for p in producers[anchor] if not flags[p]]
         while stack:
             current = stack.pop()
             if current in visited:
                 continue
             visited.add(current)
-            members.append(current)
-            stack.extend(
-                p for p in self._producers[current] if not self._flags[p]
+            collected.append(current)
+            stack.extend(p for p in producers[current] if not flags[p])
+        members = per_anchor[key] = tuple(sorted(collected))
+        return members
+
+    def _build_group(
+        self, anchor: int, members: Tuple[int, ...], flagged: bool,
+    ) -> Tuple[CollapsedOperator, Tuple[int, ...]]:
+        """The collapsed operator over ``members`` and its in-edges,
+        with exactly the float operations of ``collapse_plan``."""
+        dominant_path, path_runtime = self._dominant_path(members, anchor)
+        pipe = self._const_pipe if len(dominant_path) > 1 else 1.0
+        mat_cost = self.plan.operators[anchor].mat_cost if flagged else 0.0
+        group = CollapsedOperator(
+            anchor_id=anchor,
+            members=frozenset(members),
+            runtime_cost=path_runtime * pipe,
+            mat_cost=mat_cost,
+            dominant_path=tuple(dominant_path),
+        )
+        group_in = tuple(sorted(
+            {
+                producer
+                for member in members
+                for producer in self._producers[member]
+            } - group.members
+        ))
+        return group, group_in
+
+    def _rebuild_group(self, anchor: int) -> None:
+        old = self._groups.get(anchor)
+        old_in = self._group_in.get(anchor)
+        per_anchor = self._state_cache.get(anchor)
+        if per_anchor is None:
+            per_anchor = self._state_cache[anchor] = {}
+        # the full group state is a function of the anchor's free strict
+        # ancestors' flags plus its own flag (which decides tm)
+        key = self.mask & self._anc_mask[anchor]
+        bit = self._freebit.get(anchor)
+        if bit is not None:
+            key |= self.mask & (1 << bit)
+        cached = per_anchor.get(key)
+        if cached is not None:
+            self.group_cache_hits += 1
+        else:
+            self.group_cache_misses += 1
+            group, group_in = self._build_group(
+                anchor, self._members_of(anchor), self._flags[anchor]
             )
-        return tuple(sorted(members))
+            cached = per_anchor[key] = (group, group_in, group.total_cost)
+        group, group_in, total = cached
+        self._groups[anchor] = group
+        self._group_in[anchor] = group_in
+        self._total[anchor] = total
+        if old is None:
+            for member in group.members:
+                self._membership[member].add(anchor)
+            position = self._topo_pos[anchor]
+            insort(self._order_keys, position)
+            self._collapsed_order.insert(
+                bisect_left(self._order_keys, position), anchor
+            )
+        elif (
+            old.members is not group.members
+            and old.members != group.members
+        ):
+            for member in old.members - group.members:
+                self._membership[member].discard(anchor)
+            for member in group.members - old.members:
+                self._membership[member].add(anchor)
+        if old_in != group_in:
+            self._retire_inner(old_in)
+            counts = self._inner_count
+            for producer in group_in:
+                count = counts.get(producer, 0)
+                counts[producer] = count + 1
+                if not count:
+                    self._collapsed_inner.add(producer)
+
+    def _drop_group(self, anchor: int) -> None:
+        old = self._groups.pop(anchor)
+        for member in old.members:
+            self._membership[member].discard(anchor)
+        old_in = self._group_in.pop(anchor)
+        del self._total[anchor]
+        index = bisect_left(self._order_keys, self._topo_pos[anchor])
+        del self._order_keys[index]
+        del self._collapsed_order[index]
+        self._retire_inner(old_in)
+
+    def _retire_inner(self, old_in: Optional[Tuple[int, ...]]) -> None:
+        if not old_in:
+            return
+        counts = self._inner_count
+        for producer in old_in:
+            count = counts[producer] - 1
+            if count:
+                counts[producer] = count
+            else:
+                del counts[producer]
+                self._collapsed_inner.discard(producer)
 
     def _dominant_path(
         self, members: Tuple[int, ...], anchor: int
     ) -> Tuple[List[int], float]:
-        """Longest path to the anchor; mirrors ``collapse._dominant_path``."""
+        """Longest path to the anchor; mirrors ``collapse._dominant_path``.
+
+        ``collapse_plan`` walks the plan's topological order and skips
+        non-members; visiting the members sorted by topological position
+        performs exactly the same ``max``/add sequence at O(|c|) cost.
+        """
+        if len(members) == 1:
+            # singleton group: the DP reduces to 0.0 + runtime(anchor)
+            return [anchor], 0.0 + self._runtime[anchor]
         member_set = set(members)
+        producers = self._producers
+        runtime = self._runtime
         best_cost: Dict[int, float] = {}
         best_pred: Dict[int, int] = {}
-        for op_id in self._topo:
-            if op_id not in member_set:
-                continue
-            internal = [
-                p for p in self._producers[op_id] if p in member_set
-            ]
+        for op_id in sorted(members, key=self._topo_pos.__getitem__):
+            internal = [p for p in producers[op_id] if p in member_set]
             incoming = max(
                 (best_cost[p] for p in internal), default=0.0
             )
-            best_cost[op_id] = incoming + self._runtime[op_id]
+            best_cost[op_id] = incoming + runtime[op_id]
             if internal:
                 best_pred[op_id] = max(
                     internal, key=lambda p: (best_cost[p], p)
@@ -500,26 +600,231 @@ class SearchContext:
         return path, best_cost[anchor]
 
     # ------------------------------------------------------------------
-    # collapsed-DAG traversal cache
+    # windowed scoring: static-region DP tables
     # ------------------------------------------------------------------
-    def _refresh_order(self) -> None:
-        """Recompute the collapsed traversal order after flips.
+    def prepare_window(self, window_mask: int) -> None:
+        """Freeze the static-region DP for a windowed Gray scan.
 
-        No Kahn pass is needed: a collapsed edge ``producer -> anchor``
-        implies ``producer`` is a plan-level ancestor of the anchor (it
-        produces one of the anchor's members), so the *plan's*
-        topological order restricted to the current anchors is already a
-        valid topological order of the collapsed DAG.  Collapsed sinks
-        are the anchors no group lists as an input.
+        ``window_mask`` is the free-id bitmask of the operators the scan
+        will flip (``all_bits ^ pinned`` of the subspace).  Everything an
+        anchor computes -- members, in-edges, group cost, DP prefix --
+        depends only on the flags of its free strict ancestors, so any
+        anchor with no window bit in ``anc_mask | ownbit`` is *static*
+        for the whole subspace.  This pass walks the collapsed DAG once,
+        storing every static anchor's failure-free and failure-aware
+        prefix (computed with exactly the float operations of
+        :meth:`failure_free_dominant` / :meth:`dominant_cost`) and the
+        best over static collapsed sinks; the per-configuration scorers
+        then only walk the volatile anchors.
+
+        Must be called with the context already positioned on a mask of
+        the subspace (pinned bits set).  Idempotent while the window is
+        unchanged; any flip outside the window invalidates the tables
+        and the next call rebuilds them.
         """
-        if not self._order_dirty:
+        if self._window_mask == window_mask:
             return
-        groups = self._groups
-        self._collapsed_order = [
-            op_id for op_id in self._topo if op_id in groups
-        ]
-        inner: Set[int] = set()
-        for incoming in self._group_in.values():
-            inner.update(incoming)
-        self._collapsed_inner = inner
-        self._order_dirty = False
+        self.window_preps += 1
+        anc_mask = self._anc_mask
+        freebit = self._freebit
+        volatile = set()
+        for op_id in self._topo:
+            bit = freebit.get(op_id)
+            own = 0 if bit is None else 1 << bit
+            if (anc_mask[op_id] | own) & window_mask:
+                volatile.add(op_id)
+        # candidate volatile anchors for the functional scorers: every
+        # volatile operator that can anchor a group in *some* subspace
+        # configuration.  Free non-sink operators anchor exactly when
+        # their bit is set (pinned volatile bits are always set); bound
+        # operators' flags never change, so they either always or never
+        # anchor; sinks always anchor.  Collapsed-sink-ness is
+        # configuration-independent: an anchor with any plan consumer is
+        # consumed by whichever group holds that consumer (the anchor is
+        # never a member of it), so ``anchor in self._sinks`` decides it.
+        candidates: List[Tuple[int, Optional[int], bool, _SupportTables]] = []
+        producers = self._producers
+        for op_id in self._topo:
+            if op_id not in volatile:
+                continue
+            bit = freebit.get(op_id)
+            is_sink = op_id in self._sinks
+            if bit is None or is_sink:
+                if not (is_sink or self._flags[op_id]):
+                    continue  # bound, unmaterialized, no consumers feed it
+                presence: Optional[int] = None
+            else:
+                presence = bit
+            tables = self._window_state_cache.setdefault(op_id, [])
+            candidates.append((op_id, presence, is_sink, tables))
+            group = self._groups.get(op_id)
+            if group is not None:
+                # the current position is a subspace configuration, so
+                # its groups seed the window cache; the member walk's
+                # support is the own bit plus every free member producer
+                support = 0 if bit is None else 1 << bit
+                for member in group.members:
+                    for producer in producers[member]:
+                        pbit = freebit.get(producer)
+                        if pbit is not None:
+                            support |= 1 << pbit
+                _remember(tables, support, self.mask,
+                          (self._total[op_id], self._group_in[op_id]))
+        self._window_candidates = candidates
+        totals = self._total
+        group_in = self._group_in
+        inner = self._collapsed_inner
+        ff_prefix: Dict[int, float] = {}
+        t_prefix: Dict[int, float] = {}
+        best_ff: Optional[float] = None
+        best_t: Optional[float] = None
+        for anchor in self._collapsed_order:
+            if anchor in volatile:
+                continue
+            ff_value = totals[anchor]
+            t_value = self._runtime_of(ff_value)
+            incoming = group_in[anchor]
+            if incoming:
+                # a static anchor's producers are all static (ancestor
+                # masks are transitively closed), so both prefixes exist
+                ff_value = max(ff_prefix[p] for p in incoming) + ff_value
+                t_value = max(t_prefix[p] for p in incoming) + t_value
+            ff_prefix[anchor] = ff_value
+            t_prefix[anchor] = t_value
+            if anchor not in inner:  # a static collapsed sink
+                if best_ff is None or ff_value > best_ff:
+                    best_ff = ff_value
+                if best_t is None or t_value > best_t:
+                    best_t = t_value
+        self._prefix_ff = ff_prefix
+        self._prefix_t = t_prefix
+        self._static_best_ff = best_ff
+        self._static_best_t = best_t
+        self._window_mask = window_mask
+
+    def _build_window_state(
+        self, anchor: int, state: int, tables: _SupportTables,
+    ) -> _WindowState:
+        """Construct and cache ``(t(c), group in-edges)`` for one state.
+
+        The member walk reads free flags out of the ``state`` int (the
+        context is never repositioned) and records its *support*: the
+        free bits it observed -- expanded members, the materialized
+        boundary it stopped at, and the anchor's own flag.  Any state
+        agreeing on those bits walks the identical frontier, so the
+        result is cached under ``state & support`` in the table for that
+        support mask.  Caching under the full ancestor mask instead
+        would defeat the cache: a sink group's ancestors span the whole
+        window, but flags buried below a materialized cut cannot reach
+        it.
+        """
+        self.group_cache_misses += 1
+        self.members_cache_misses += 1
+        freebit = self._freebit
+        flags = self._flags
+        producers = self._producers
+        bit = freebit.get(anchor)
+        support = 0 if bit is None else 1 << bit
+        collected = [anchor]
+        visited = {anchor}
+        pending = [anchor]  # members whose producers still need probing
+        while pending:
+            for probed in producers[pending.pop()]:
+                pbit = freebit.get(probed)
+                if pbit is None:
+                    if flags[probed] or probed in visited:
+                        continue
+                else:
+                    support |= 1 << pbit
+                    if (state >> pbit) & 1 or probed in visited:
+                        continue
+                visited.add(probed)
+                collected.append(probed)
+                pending.append(probed)
+        flagged = flags[anchor] if bit is None else bool((state >> bit) & 1)
+        group, group_in = self._build_group(
+            anchor, tuple(sorted(collected)), flagged
+        )
+        built = (group.total_cost, group_in)
+        _remember(tables, support, state, built)
+        return built
+
+    def window_bound(self, state: int) -> float:
+        """:meth:`failure_free_dominant` of configuration ``state``,
+        functionally -- the cheap Rule-3 bound ``R_max``.
+
+        Walks the candidate volatile anchors (presence decided by
+        ``state``'s bits), fetching each one's ``(t(c), in-edges)`` from
+        its per-state cache -- the context is never repositioned, so a
+        windowed scan does *no* flips at all.  Returns the same value
+        bit-for-bit: the static part of the maximum was folded in by
+        :meth:`prepare_window`, ``max`` over floats is split-point
+        independent, and stale volatile prefixes are never read (every
+        reader of a volatile prefix is itself volatile and overwritten
+        first, in topological order).  Fills the scratch entry list
+        :meth:`window_cost` consumes.
+        """
+        if self._window_mask is None:
+            raise RuntimeError("prepare_window() before window_bound()")
+        prefix = self._prefix_ff
+        best = self._static_best_ff
+        entries = self._scratch_entries
+        entries.clear()
+        misses_before = self.group_cache_misses
+        for anchor, bit, is_sink, tables in self._window_candidates:
+            if bit is not None and not (state >> bit) & 1:
+                continue
+            cached = None
+            for support, table in tables:
+                cached = table.get(state & support)
+                if cached is not None:
+                    break
+            if cached is None:
+                cached = self._build_window_state(anchor, state, tables)
+            total, group_in = cached
+            if group_in:
+                if len(group_in) == 1:  # max of one is that one
+                    value = prefix[group_in[0]] + total
+                else:
+                    value = max(prefix[p] for p in group_in) + total
+            else:
+                value = total
+            prefix[anchor] = value
+            entries.append((anchor, total, group_in, is_sink))
+            if is_sink and (best is None or value > best):
+                best = value
+        self.group_cache_hits += (
+            len(entries) - (self.group_cache_misses - misses_before)
+        )
+        assert best is not None  # a valid plan always has >= 1 path
+        return best
+
+    def window_cost(self) -> float:
+        """:meth:`dominant_cost` of the configuration the last
+        :meth:`window_bound` call probed (it owns the scratch entries).
+
+        Deferred on purpose: Rule-3 skips never pay for the
+        failure-aware pass, and its scalar ``T(t(c))`` evaluations stay
+        memoized per distinct total.
+        """
+        if self._window_mask is None:
+            raise RuntimeError("prepare_window() before window_cost()")
+        cache = self._runtime_cache
+        prefix = self._prefix_t
+        best = self._static_best_t
+        entries = self._scratch_entries
+        for anchor, total, group_in, is_sink in entries:
+            value = cache.get(total)
+            if value is None:
+                value = self._runtime_of(total)
+            if group_in:
+                if len(group_in) == 1:  # max of one is that one
+                    value = prefix[group_in[0]] + value
+                else:
+                    value = max(prefix[p] for p in group_in) + value
+            prefix[anchor] = value
+            if is_sink and (best is None or value > best):
+                best = value
+        self.runtime_lookups += len(entries)
+        assert best is not None  # a valid plan always has >= 1 path
+        return best

@@ -206,10 +206,6 @@ def execute_with_extension(
     return result
 
 
-#: backwards-compatible private alias
-_execute_extending = execute_with_extension
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One (scheme, query) cell of the paper's overhead figures."""

@@ -25,15 +25,16 @@ Design points:
   (``jobs=4`` merges to the same totals as ``jobs=1`` for every counter
   that does not measure process-local cache state; see
   ``docs/observability.md``).
-* **Thread safety.**  All mutation (span open/close, counters, gauges,
-  merge, snapshot) is guarded by one internal lock, so concurrent
-  request threads -- the advisory service (:mod:`repro.serve`) runs many
-  at once against the single installed recorder -- never corrupt state
-  and never lose counter increments.  Span *nesting* is still a single
-  recorder-wide stack: spans opened by different threads interleave on
-  it, so concurrent span trees are best-effort (durations stay correct,
-  parentage may cross threads).  The engines' hot loops are unaffected:
-  they keep local tallies and fold them in once per region.
+* **Thread safety.**  All shared mutation (span list and ids, counters,
+  gauges, merge, snapshot) is guarded by one internal lock, so
+  concurrent request threads -- the advisory service
+  (:mod:`repro.serve`) runs many at once against the single installed
+  recorder -- never corrupt state and never lose counter increments.
+  Span *nesting* is tracked per thread: each thread has its own stack of
+  open spans, so a span's parent is always the innermost span open on
+  the thread that opened it, and :meth:`Recorder.merge` anchors under
+  the calling thread's open span.  The engines' hot loops are
+  unaffected: they keep local tallies and fold them in once per region.
 """
 
 from __future__ import annotations
@@ -113,12 +114,11 @@ PROCESS_LOCAL_COUNTER_PREFIXES: Tuple[str, ...] = (
 PROCESS_LOCAL_COUNTERS: Tuple[str, ...] = (
     "campaign.retries", "campaign.serial_fallbacks",
     # sharded-search orchestration: shard count tracks the requested
-    # topology, and Rule-3 / prefilter effectiveness depends on bound
-    # propagation timing between workers (the *result* stays
-    # bit-identical; only how much work each shard skipped varies)
+    # topology, and Rule-3 effectiveness depends on bound propagation
+    # timing between workers (the *result* stays bit-identical; only how
+    # much work each shard skipped varies)
     "search.shards", "search.retries", "search.serial_fallbacks",
     "search.bound_updates", "search.bound_skips",
-    "search.batch_prefiltered",
     "search.paths_estimated", "search.rule3.plan_cutoffs",
     # adaptive shard sizing reacts to observed shard *durations*
     "search.shard_resize",
@@ -139,20 +139,34 @@ class Recorder:
         self.spans: List[SpanRecord] = []
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-        self._stack: List[SpanRecord] = []
         self._next_id = 0
         self._lock = threading.Lock()
+        #: per-thread ``stack`` of open spans, innermost last
+        self._local = threading.local()
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Drop the (unpicklable) lock; cross-process transport stays
-        snapshot-based, this only keeps ad-hoc pickling from crashing."""
+        """Drop the (unpicklable) lock and per-thread span stacks;
+        cross-process transport stays snapshot-based, this only keeps
+        ad-hoc pickling from crashing."""
         state = dict(self.__dict__)
         del state["_lock"]
+        del state["_local"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        self._local = threading.local()
+
+    def _open_spans(self) -> List[SpanRecord]:
+        """The calling thread's open spans, innermost last.
+
+        Only its own thread ever touches a stack, so it needs no lock.
+        """
+        stack: Optional[List[SpanRecord]] = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
 
     # ------------------------------------------------------------------
     # recording
@@ -162,9 +176,11 @@ class Recorder:
         return time.perf_counter() - self._epoch
 
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
-        """Open a nested span; use as a context manager."""
+        """Open a span nested in this thread's innermost open span; use
+        as a context manager."""
+        stack = self._open_spans()
+        parent = stack[-1].span_id if stack else None
         with self._lock:
-            parent = self._stack[-1].span_id if self._stack else None
             record = SpanRecord(
                 span_id=self._next_id,
                 parent_id=parent,
@@ -174,17 +190,18 @@ class Recorder:
             )
             self._next_id += 1
             self.spans.append(record)
-            self._stack.append(record)
+        stack.append(record)
         return _SpanHandle(self, record)
 
     def _close_span(self, record: SpanRecord) -> None:
+        stack = self._open_spans()
         with self._lock:
             record.end = self.now()
             # exits normally unwind innermost-first; tolerate skipped
-            # levels (and, under threads, spans another thread opened)
-            if record in self._stack:
-                while self._stack:
-                    top = self._stack.pop()
+            # levels (their records are shared, hence the lock)
+            if record in stack:
+                while stack:
+                    top = stack.pop()
                     if top is record:
                         break
                     if top.end is None:
@@ -229,13 +246,16 @@ class Recorder:
 
         Counters sum, gauges overwrite, spans are appended with their ids
         remapped past this recorder's id counter.  Root spans of the
-        snapshot are re-parented under the currently open span, so a
-        worker's recording nests under the fan-out span that spawned it.
+        snapshot are re-parented under the calling thread's innermost
+        open span, so a worker's recording nests under the fan-out span
+        that spawned it.
         ``track`` relabels the merged spans' timeline row (e.g.
         ``"worker-3"``); child span times stay relative to the *child's*
         epoch -- cross-process clock skew is not corrected, which is fine
         for the worker-lifetime profiles this is used for.
         """
+        stack = self._open_spans()
+        anchor = stack[-1].span_id if stack else None
         with self._lock:
             for name, value in snapshot.counters:
                 self.counters[name] = self.counters.get(name, 0) + value
@@ -244,7 +264,6 @@ class Recorder:
             if not snapshot.spans:
                 return
             offset = self._next_id
-            anchor = self._stack[-1].span_id if self._stack else None
             for span in snapshot.spans:
                 parent = (
                     span.parent_id + offset

@@ -1,12 +1,12 @@
 """Differential tests: the fast search engine vs the naive oracle.
 
-The fast engine (Gray-code incremental collapse, memoized runtime
-lookups, Rule-3 dominant-path memo) must be *bit-identical* to the
-naive reference -- same winning configuration, same cost to the last
-ulp -- on realistic inputs.  These tests sweep the TPC-H join graphs
-(``repro.joinorder.tpch_graphs``) through phase 1 and compare both
-engines with exact ``==``, not ``approx``: any floating-point
-reassociation in the fast path is a bug.
+The fast engine (the search kernel: incremental collapse, windowed DP
+scoring, memoized runtime lookups, a shared Rule-3 bound) must be
+*bit-identical* to the naive reference -- same winning configuration,
+same cost to the last ulp -- on realistic inputs.  These tests sweep
+the TPC-H join graphs (``repro.joinorder.tpch_graphs``) through phase 1
+and compare both engines with exact ``==``, not ``approx``: any
+floating-point reassociation in the fast path is a bug.
 """
 
 from __future__ import annotations

@@ -297,6 +297,71 @@ class TestRecorderThreadSafety:
         assert all(span.end is not None for span in spans)
         assert recorder.counters["spanned"] == threads_n * per_thread
 
+    def test_span_parents_never_cross_threads(self):
+        import threading
+
+        recorder = Recorder()
+        threads_n, depth = 4, 3
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def nest(index: int, level: int = 0) -> None:
+            # every thread opens its level-k span before any thread opens
+            # level k+1, so one shared stack would parent across threads
+            barrier.wait()
+            if level == depth:
+                return
+            with recorder.span(f"level{level}", thread=index):
+                nest(index, level + 1)
+                barrier.wait()
+
+        def run(index: int) -> None:
+            try:
+                nest(index)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=run, args=(index,))
+            for index in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        spans = {span.span_id: span for span in recorder.snapshot().spans}
+        assert len(spans) == threads_n * depth
+        for span in spans.values():
+            assert span.end is not None
+            level = int(span.name[len("level"):])
+            if level == 0:
+                assert span.parent_id is None
+            else:
+                parent = spans[span.parent_id]
+                assert parent.attrs["thread"] == span.attrs["thread"]
+                assert parent.name == f"level{level - 1}"
+
+    def test_merge_anchors_under_calling_threads_span(self):
+        import threading
+
+        child = Recorder()
+        with child.span("work"):
+            pass
+        snapshot = child.snapshot()
+        recorder = Recorder()
+        with recorder.span("main") as main:
+            # a thread with no open span merges at the root, even while
+            # another thread has a span open
+            worker = threading.Thread(target=recorder.merge,
+                                      args=(snapshot,))
+            worker.start()
+            worker.join()
+            recorder.merge(snapshot)
+        merged = [span for span in recorder.spans if span.name == "work"]
+        assert [span.parent_id for span in merged] == \
+            [None, main.record.span_id]
+
     def test_snapshot_during_mutation_is_consistent(self):
         import threading
 

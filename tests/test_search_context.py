@@ -1,8 +1,6 @@
-"""Units behind the fast engine: SearchContext + batched cost model."""
+"""Units behind the fast engine: the SearchContext kernel."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -13,56 +11,9 @@ from repro.core import (
     enumerate_mat_configs,
     estimate_plan_cost,
     find_best_ft_plan,
-    operator_runtime,
-    operator_runtime_batch,
-    path_cost,
-    path_cost_batch,
     path_cost_failure_free,
-    path_cost_failure_free_batch,
 )
 from repro.core import enumeration as enumeration_module
-
-
-class TestBatchCostModel:
-    """NumPy batch API mirrors the scalar Equation 2-8 functions."""
-
-    @pytest.mark.parametrize("exact_waste", [False, True])
-    def test_operator_runtime_batch_matches_scalar(
-        self, stats_hour, exact_waste
-    ):
-        totals = [0.0, 0.5, 3.0, 60.0, 3599.0, 3600.0, 7200.0, 1e-9,
-                  40000.0, 2.6e6]
-        batch = operator_runtime_batch(
-            totals, stats_hour, exact_waste=exact_waste
-        )
-        for total, got in zip(totals, batch):
-            want = operator_runtime(
-                total, stats_hour, exact_waste=exact_waste
-            )
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    def test_operator_runtime_batch_unreachable_is_inf(self):
-        stats = ClusterStats(mtbf=1.0)
-        assert math.isinf(operator_runtime_batch([1e5], stats)[0])
-        assert math.isinf(operator_runtime(1e5, stats))
-
-    def test_operator_runtime_batch_validates(self, stats_hour):
-        with pytest.raises(ValueError):
-            operator_runtime_batch([-1.0], stats_hour)
-
-    def test_path_cost_batch_matches_scalar(self, stats_hour):
-        paths = [[3.0, 4.0, 5.0], [100.0], [], [0.5, 2000.0]]
-        batch = path_cost_batch(paths, stats_hour)
-        for path, got in zip(paths, batch):
-            assert got == pytest.approx(
-                path_cost(path, stats_hour), rel=1e-12, abs=1e-12
-            )
-
-    def test_failure_free_batch_is_bit_identical(self):
-        paths = [[0.1, 0.2, 0.3], [1e16, 1.0, -0.0], []]
-        batch = path_cost_failure_free_batch(paths)
-        for path, got in zip(paths, batch):
-            assert got == path_cost_failure_free(path)  # exact
 
 
 class TestSearchContext:
@@ -268,7 +219,7 @@ class TestDominantPathMemoIntrospection:
 
 class TestSearchContextPickle:
     """Slim pickling: contexts travel to pool workers cheaply and
-    resume bit-identically (PR 8's shareable-SearchContext contract)."""
+    resume bit-identically (the shareable-SearchContext contract)."""
 
     @staticmethod
     def _deep_chain():
@@ -283,6 +234,10 @@ class TestSearchContextPickle:
         edges = [(op_id, op_id + 1) for op_id in range(1, 10)]
         return Plan.from_edges(operators, edges)
 
+    @staticmethod
+    def _scores(ctx):
+        return ctx.failure_free_dominant(), ctx.dominant_cost()
+
     def test_round_trip_resumes_bit_identical(
         self, paper_plan, stats_hour
     ):
@@ -293,37 +248,43 @@ class TestSearchContextPickle:
         # park the original mid-scan, with warmed caches
         for mask in masks[: len(masks) // 2]:
             ctx.set_mask(mask)
-            ctx.dominant_scores()
+            self._scores(ctx)
         clone = pickle.loads(pickle.dumps(ctx))
         assert type(clone) is SearchContext
         assert clone.mask == ctx.mask
         for mask in masks:
             ctx.set_mask(mask)
             clone.set_mask(mask)
-            assert clone.dominant_scores() == ctx.dominant_scores()
+            assert self._scores(clone) == self._scores(ctx)
             assert clone.config_for(mask) == ctx.config_for(mask)
 
     @pytest.mark.parametrize("exact_waste", [False, True])
     def test_shard_kernel_round_trip_preserves_type(
         self, paper_plan, stats_hour, exact_waste
     ):
+        """The context the sharded scan runs on round-trips with its
+        scoring mode and windowed-scan behaviour intact."""
         import pickle
 
-        from repro.core.shard import ShardKernel
-
-        kernel = ShardKernel(paper_plan, stats_hour,
-                             exact_waste=exact_waste)
+        kernel = SearchContext(paper_plan, stats_hour,
+                               exact_waste=exact_waste)
         masks = list(kernel.iter_masks())
+        kernel.set_mask(0)
+        kernel.prepare_window((1 << len(kernel.free_ids)) - 1)
         for mask in masks[:5]:
-            kernel.set_mask(mask)
-            kernel.dominant_scores()
+            kernel.window_bound(mask)
+            kernel.window_cost()
         clone = pickle.loads(pickle.dumps(kernel))
-        assert type(clone) is ShardKernel
+        assert type(clone) is SearchContext
         assert clone.exact_waste is exact_waste
+        clone.prepare_window((1 << len(clone.free_ids)) - 1)
+        for mask in masks:
+            assert clone.window_bound(mask) == kernel.window_bound(mask)
+            assert clone.window_cost() == kernel.window_cost()
         for mask in masks:
             kernel.set_mask(mask)
             clone.set_mask(mask)
-            assert clone.dominant_scores() == kernel.dominant_scores()
+            assert self._scores(clone) == self._scores(kernel)
 
     def test_slim_payload_beats_naive_by_5x(self, stats_hour):
         import pickle
@@ -332,7 +293,7 @@ class TestSearchContextPickle:
         ctx = SearchContext(plan, stats_hour)
         for mask in ctx.iter_masks():
             ctx.set_mask(mask)
-            ctx.dominant_scores()
+            self._scores(ctx)
         slim = len(pickle.dumps(ctx))
         # the naive payload a __dict__ pickle would ship: every derived
         # cache the full sweep just populated

@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import http.client
 import json
-import math
 import statistics
 import sys
 import threading
@@ -667,7 +666,7 @@ def _outcome(enumerated: int, duration: float,
              index: int = 0) -> ShardOutcome:
     return ShardOutcome(
         index=index, best=None, enumerated=enumerated, scored=enumerated,
-        bound_skips=0, bound_updates=0, batch_prefiltered=0,
+        bound_skips=0, bound_updates=0,
         duration=duration,
     )
 
